@@ -61,6 +61,7 @@ from repro.cluster.resilience import (
     CallToken,
     ClusterDegradedError,
     DegradedAnswer,
+    MergedEpochMax,
     ResilienceConfig,
     ShardDescriptor,
     ShardGuard,
@@ -256,6 +257,7 @@ class ClusterTree:
             for shard in self.shards
         ]
         self._descriptors = [ShardDescriptor() for _ in self.shards]
+        self._epoch_max = MergedEpochMax()
         self._recovery_lock = monitored_lock(RECOVERY)
         for shard in self.shards:
             with shard.lock.read_locked():
@@ -499,17 +501,17 @@ class ClusterTree:
         guarded mutation refreshes synchronously — so the query path
         never touches a shard tree for normalisation, and a *down*
         shard contributes its last consistent maxima instead of
-        failing the whole cluster.
+        failing the whole cluster.  The merge is cached until a
+        descriptor changes (:class:`MergedEpochMax`); the returned dict
+        is shared and must not be mutated.
         """
-        merged: dict[int, int] = {}
+        descriptors: list[ShardDescriptor] = []
         for shard in self.shards:
             descriptor = self._descriptors[shard.index]
             if not descriptor.fresh:
                 self._refresh_descriptor(shard)
-            for epoch, value in descriptor.epoch_max.items():
-                if value > merged.get(epoch, 0):
-                    merged[epoch] = value
-        return merged
+            descriptors.append(descriptor)
+        return self._epoch_max.merged(descriptors)
 
     def _refresh_descriptor(self, shard: Shard) -> None:
         """Guarded descriptor rebuild; a down shard keeps stale values."""

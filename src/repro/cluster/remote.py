@@ -50,6 +50,7 @@ from repro.cluster.resilience import (
     CallToken,
     ClusterDegradedError,
     DegradedAnswer,
+    MergedEpochMax,
     ResilienceConfig,
     ShardCallTimeout,
     ShardDescriptor,
@@ -400,6 +401,7 @@ class RemoteClusterTree:
             for shard in self.shards
         ]
         self._descriptors = [ShardDescriptor() for _ in self.shards]
+        self._epoch_max = MergedEpochMax()
         self._routing = ReadWriteLock(ROUTING)
         self._counter_lock = monitored_lock(COUNTER)
         self._recovery_lock = monitored_lock(RECOVERY)
@@ -526,14 +528,11 @@ class RemoteClusterTree:
         wire = payload.get("descriptor")
         if wire is not None:
             mbr = wire.get("mbr")
-            descriptor.mbr = (
-                None if mbr is None else Rect(tuple(mbr[0]), tuple(mbr[1]))
+            descriptor.update(
+                None if mbr is None else Rect(tuple(mbr[0]), tuple(mbr[1])),
+                {int(epoch): int(value) for epoch, value in wire["epoch_max"]},
+                int(wire["pois"]),
             )
-            descriptor.epoch_max = {
-                int(epoch): int(value) for epoch, value in wire["epoch_max"]
-            }
-            descriptor.pois = int(wire["pois"])
-            descriptor.fresh = True
         shard.applied_lsn = lsn
         time_value = payload.get("current_time")
         if time_value is not None:
@@ -717,18 +716,21 @@ class RemoteClusterTree:
     # ------------------------------------------------------------------
 
     def _global_epoch_max_locked(self) -> dict[int, int]:
-        merged: dict[int, int] = {}
+        descriptors: list[ShardDescriptor] = []
         for shard in self.shards:
             descriptor = self._descriptors[shard.index]
             if not descriptor.fresh:
                 self._refresh_descriptor_locked(shard)
-            for epoch, value in descriptor.epoch_max.items():
-                if value > merged.get(epoch, 0):
-                    merged[epoch] = value
-        return merged
+            descriptors.append(descriptor)
+        return self._epoch_max.merged(descriptors)
 
     def global_epoch_max(self) -> dict[int, int]:
-        """Per-epoch maxima over all workers — the single tree's view."""
+        """Per-epoch maxima over all workers — the single tree's view.
+
+        Cached until a descriptor changes (see
+        :class:`~repro.cluster.resilience.MergedEpochMax`); the returned
+        dict is shared and must not be mutated.
+        """
         with self._routing.read_locked():
             return self._global_epoch_max_locked()
 

@@ -43,12 +43,21 @@ sites ``shard.<i>.query`` / ``shard.<i>.mutate`` / ``shard.<i>.scrub``
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, TypeVar, overload
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterator,
+    NamedTuple,
+    Sequence,
+    TypeVar,
+    overload,
+)
 
 from repro.core.query import KNNTAQuery, Normalizer, QueryResult
 from repro.devtools.lockmodel import BREAKER
@@ -75,6 +84,7 @@ __all__ = [
     "CircuitBreaker",
     "ClusterDegradedError",
     "DegradedAnswer",
+    "MergedEpochMax",
     "ResilienceConfig",
     "ShardCallTimeout",
     "ShardDescriptor",
@@ -491,6 +501,9 @@ class CircuitBreaker:
 # ---------------------------------------------------------------------------
 
 
+_descriptor_versions = itertools.count()
+
+
 class ShardDescriptor:
     """Cached pruning-bound state for one shard: root MBR + epoch maxima.
 
@@ -502,25 +515,38 @@ class ShardDescriptor:
     value.  ``fresh`` is cleared while a mutation is in flight and
     restored by the post-apply refresh; a descriptor left stale by a
     failed mutation keeps serving last-known-good values.
+
+    ``version`` changes on every :meth:`update` and is unique across
+    descriptors, so a tuple of versions identifies the content of a
+    whole descriptor list (see :class:`MergedEpochMax`).
     """
 
-    __slots__ = ("mbr", "epoch_max", "pois", "fresh")
+    __slots__ = ("mbr", "epoch_max", "pois", "fresh", "version")
 
     def __init__(self) -> None:
         self.mbr: Rect | None = None
         self.epoch_max: dict[int, int] = {}
         self.pois = 0
         self.fresh = False
+        self.version = next(_descriptor_versions)
 
     def refresh(self, tree: TARTree) -> None:
         """Recompute from ``tree``; the caller holds the shard lock."""
         entries = tree.root.entries
-        self.mbr = (
-            Rect.union_all(entry.mbr for entry in entries) if entries else None
+        self.update(
+            Rect.union_all(entry.mbr for entry in entries) if entries else None,
+            dict(tree.global_epoch_max()),
+            len(tree),
         )
-        self.epoch_max = dict(tree.global_epoch_max())
-        self.pois = len(tree)
+
+    def update(self, mbr: Rect | None, epoch_max: dict[int, int], pois: int) -> None:
+        """Install new state and mark it fresh; bumps ``version`` last,
+        so a reader that saw the new version also sees the new values."""
+        self.mbr = mbr
+        self.epoch_max = epoch_max
+        self.pois = pois
         self.fresh = True
+        self.version = next(_descriptor_versions)
 
     def max_aggregate_bound(
         self,
@@ -565,6 +591,37 @@ class ShardDescriptor:
 
     def __repr__(self) -> str:
         return "ShardDescriptor(%d POIs, fresh=%r)" % (self.pois, self.fresh)
+
+
+class MergedEpochMax:
+    """Per-epoch maxima merged over a cluster's shard descriptors.
+
+    The cluster normaliser and max-aggregate bound need them on every
+    query; the fold is cached under the descriptors' versions and
+    recomputed only after a descriptor was refreshed or absorbed new
+    worker state (or the descriptor list changed).  The versions are
+    read before the values they label, so a concurrent refresh can only
+    make the cached fold newer than its key, never older.  The returned
+    dict is shared: callers must not mutate it.
+    """
+
+    __slots__ = ("_cached",)
+
+    def __init__(self) -> None:
+        self._cached: tuple[tuple[int, ...], dict[int, int]] = ((), {})
+
+    def merged(self, descriptors: Sequence[ShardDescriptor]) -> dict[int, int]:
+        key = tuple(descriptor.version for descriptor in descriptors)
+        cached = self._cached
+        if cached[0] == key:
+            return cached[1]
+        merged: dict[int, int] = {}
+        for descriptor in descriptors:
+            for epoch, value in descriptor.epoch_max.items():
+                if value > merged.get(epoch, 0):
+                    merged[epoch] = value
+        self._cached = (key, merged)
+        return merged
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,27 @@ additionally grouped so the aggregate computation on each TIA in the
 fetched node happens once per interval rather than once per query —
 effective in practice because applications offer only a few interval
 presets ("one day", "one week", ...).
+
+Expansion reads the node's packed :class:`~repro.core.frames.NodeFrame`
+when the frame store serves one: each interval group reads every
+entry's aggregate from the frame's dense rows in one
+:meth:`~repro.core.frames.NodeFrame.aggregates` call per node — a
+difference of two running sums per entry (a ``max`` over a row slice
+for MAX trees).  Nodes without a frame — store disabled, or
+rows declined by the memory guard — score on the object path, with
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_left
 from collections import defaultdict
 from math import sqrt
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.core.knnta import knnta_search
 from repro.core.query import QueryResult, RankedAnswer
-from repro.temporal.tia import AggregateKind
 
 if TYPE_CHECKING:
     from repro.core.query import KNNTAQuery, Normalizer
@@ -152,11 +159,14 @@ class CollectiveProcessor:
         """Push ``node``'s entries into every state, sharing aggregates.
 
         States are grouped by (interval, semantics); each group computes
-        the per-entry aggregate once.  When the tree carries an enabled
-        :class:`~repro.core.frames.FrameStore` the aggregates and
-        MINDISTs are read from the node's packed frame (no TIA page
-        I/O, no ``Rect`` chasing); results are bit-identical because
-        the raw values feed the same :meth:`_QueryState.push`.
+        the per-entry aggregate once.  When the tree's
+        :class:`~repro.core.frames.FrameStore` serves a frame for the
+        node, the aggregates and MINDISTs are read from it (no TIA page
+        I/O, no ``Rect`` chasing): each group reads all the node's
+        aggregates in one :meth:`~repro.core.frames.NodeFrame.aggregates`
+        call.  Results are bit-identical because the raw values feed the
+        same :meth:`_QueryState.push`; a disabled store or a node
+        declined by the memory guard scores on the object path below.
         """
         tree = self.tree
         groups: defaultdict[
@@ -166,27 +176,14 @@ class CollectiveProcessor:
             groups[(state.query.interval, state.query.semantics)].append(state)
 
         frames = getattr(tree, "frames", None)
-        frame = frames.frame(node) if frames is not None and frames.enabled else None
+        frame = frames.frame(node) if frames is not None else None
         if frame is not None:
             coords = frame.coords
-            epochs = frame.epochs
-            values = frame.values
-            offsets = frame.offsets
-            is_max = tree.aggregate_kind is AggregateKind.MAX
             clock = tree.clock
             for (interval, semantics), members in groups.items():
-                span = clock.epoch_range(interval, semantics)
-                e_start, e_stop = span.start, span.stop
+                aggregates = frame.aggregates(clock.epoch_range(interval, semantics))
                 for i, entry in enumerate(node.entries):
-                    stop = offsets[i + 1]
-                    first = bisect_left(epochs, e_start, offsets[i], stop)
-                    last = bisect_left(epochs, e_stop, first, stop)
-                    if is_max:
-                        raw_aggregate = (
-                            max(values[first:last]) if last > first else 0
-                        )
-                    else:
-                        raw_aggregate = sum(values[first:last])
+                    raw_aggregate = aggregates[i]
                     base = 4 * i
                     lo_x = coords[base]
                     hi_x = coords[base + 1]

@@ -333,6 +333,28 @@ class TestShardDescriptor:
         single = TARTree.build(small_dataset)
         assert cluster.global_epoch_max() == single.global_epoch_max()
 
+    def test_merged_maxima_cached_until_a_descriptor_changes(self, small_dataset):
+        from repro import POI
+
+        cluster = ClusterTree.build(small_dataset, num_shards=3)
+        single = TARTree.build(small_dataset)
+        merged = cluster.global_epoch_max()
+        assert cluster.global_epoch_max() is merged  # no refold
+        for tree in (cluster, single):
+            tree.insert_poi(POI("peak", 30.0, 25.0), {0: 10_000})
+        assert cluster.global_epoch_max() is not merged
+        assert cluster.global_epoch_max()[0] == 10_000
+        assert cluster.global_epoch_max() == single.global_epoch_max()
+        # A descriptor marked stale is refreshed before the merge: a
+        # change behind the coordinator's back shows only through it.
+        owner = cluster._owner_of("peak")
+        for tree in (owner.tree, single):
+            tree.insert_poi(POI("side", 31.0, 25.0), {1: 20_000})
+        assert cluster.global_epoch_max().get(1) != 20_000
+        cluster._descriptors[owner.index].fresh = False
+        assert cluster.global_epoch_max() == single.global_epoch_max()
+        assert cluster._descriptors[owner.index].fresh
+
 
 class TestDegradedAnswer:
     def build(self):

@@ -1,6 +1,7 @@
 """Packed node frames: coherence, invalidation and bit-identical answers."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro import POI, TARTree, TimeInterval
 from repro.core.collective import CollectiveProcessor
-from repro.core.frames import FrameStore, build_frame
+from repro.core.frames import DENSE_LIMIT, FrameStore, build_frame
 from repro.core.knnta import knnta_browse, knnta_search
 from repro.core.query import KNNTAQuery
 from repro.spatial.geometry import Rect
@@ -17,6 +18,11 @@ from repro.temporal.tia import AggregateKind, IntervalSemantics
 
 
 def build_tree(n=120, seed=0, node_size=None, aggregate_kind=AggregateKind.SUM):
+    """A random tree over day epochs 2..11.
+
+    Every 9th POI has an empty TIA, and epochs 0-1 stay empty, so a
+    window over them lies wholly before every node's epoch span.
+    """
     rng = random.Random(seed)
     kwargs = {} if node_size is None else {"node_size": node_size}
     tree = TARTree(
@@ -28,8 +34,27 @@ def build_tree(n=120, seed=0, node_size=None, aggregate_kind=AggregateKind.SUM):
     )
     for i in range(n):
         history = {
-            e: rng.randrange(1, 9) for e in range(12) if rng.random() < 0.4
+            e: rng.randrange(1, 9) for e in range(2, 12) if rng.random() < 0.4
         }
+        tree.insert_poi(
+            POI(i, rng.random() * 100, rng.random() * 100),
+            {} if i % 9 == 0 else history,
+        )
+    return tree
+
+
+def build_hourly_tree(seed=0, aggregate_kind=AggregateKind.SUM):
+    """Hourly epochs over 12 days, 3 records per POI: most nodes' dense
+    rows are nearly empty and break the memory guard."""
+    rng = random.Random(seed)
+    tree = TARTree(
+        world=Rect((0.0, 0.0), (100.0, 100.0)),
+        clock=EpochClock(0.0, 1.0 / 24),
+        current_time=12.0,
+        aggregate_kind=aggregate_kind,
+    )
+    for i in range(120):
+        history = {rng.randrange(24 * 12): rng.randrange(1, 9) for _ in range(3)}
         tree.insert_poi(POI(i, rng.random() * 100, rng.random() * 100), history)
     return tree
 
@@ -53,33 +78,111 @@ def assert_frames_byte_equal(tree):
     """Every served frame matches a fresh object-layer build, byte for byte."""
     for node in all_nodes(tree):
         packed = tree.frames.frame(node)
-        fresh = build_frame(node)
+        fresh = build_frame(node, tree.aggregate_kind)
+        if fresh is None:
+            assert packed is None
+            continue
         assert packed.coords.tobytes() == fresh.coords.tobytes()
-        assert packed.epochs.tobytes() == fresh.epochs.tobytes()
-        assert packed.values.tobytes() == fresh.values.tobytes()
-        assert packed.offsets.tobytes() == fresh.offsets.tobytes()
+        assert packed.rows.tobytes() == fresh.rows.tobytes()
+        assert (packed.first, packed.width, packed.stride) == (
+            fresh.first,
+            fresh.width,
+            fresh.stride,
+        )
         assert packed.count == len(node.entries)
 
 
-def make_query(rng, tree, k=10):
+def declined_nodes(tree):
+    """Assert the memory guard on every node; return how many it declined.
+
+    A node is declined exactly when its dense cells (8 bytes each) take
+    more than ``DENSE_LIMIT`` times the bytes of its sparse records (16
+    each: an epoch and a value).
+    """
+    declined = 0
+    for node in all_nodes(tree):
+        epochs = [e for entry in node.entries for e, _ in entry.tia.items()]
+        width = max(epochs) - min(epochs) + 1 if epochs else 0
+        dense = 8 * len(node.entries) * width
+        if dense > DENSE_LIMIT * 16 * len(epochs):
+            assert tree.frames.frame(node) is None
+            assert tree.frames.frame(node) is None  # served from the refusal
+            declined += 1
+        else:
+            assert tree.frames.frame(node) is not None
+    return declined
+
+
+#: Query windows beside the random ones inside the data: wholly before
+#: every node's epoch span, wholly after it, and a CONTAINED window
+#: shorter than one epoch (no epoch at all).
+EDGE_WINDOWS = [
+    (TimeInterval(0, 1), IntervalSemantics.INTERSECTS),
+    (TimeInterval(13, 20), IntervalSemantics.CONTAINED),
+    (TimeInterval(5.2, 5.7), IntervalSemantics.CONTAINED),
+]
+
+
+def leaf_tree(width):
+    """A one-leaf tree of 2 entries and 3 records over ``width`` epochs:
+    its 2 * width dense cells break the memory guard iff width > 24."""
+    tree = TARTree(
+        world=Rect((0.0, 0.0), (100.0, 100.0)),
+        clock=EpochClock(0.0, 1.0),
+        current_time=40.0,
+    )
+    tree.insert_poi(POI(0, 10.0, 10.0), {0: 1, width - 1: 1})
+    tree.insert_poi(POI(1, 20.0, 20.0), {5: 1})
+    return tree
+
+
+def make_query(rng, tree, k=10, window=None):
+    if window is None:
+        window = (
+            TimeInterval(rng.randrange(0, 6), rng.randrange(6, 13)),
+            rng.choice([IntervalSemantics.INTERSECTS, IntervalSemantics.CONTAINED]),
+        )
     return KNNTAQuery(
         (rng.random() * 100, rng.random() * 100),
-        TimeInterval(rng.randrange(0, 6), rng.randrange(6, 13)),
+        window[0],
         k=k,
         alpha0=rng.choice([0.1, 0.3, 0.5, 0.9]),
-        semantics=rng.choice(
-            [IntervalSemantics.INTERSECTS, IntervalSemantics.CONTAINED]
-        ),
+        semantics=window[1],
     )
 
 
+def cold_tia_buffers(tree):
+    for node in all_nodes(tree):
+        for entry in node.entries:
+            entry.tia.buffer.clear()
+
+
+def search_with_cost(tree, query):
+    """``knnta_search`` rows and their ``AccessStats`` snapshot, checked
+    against the first ``k`` rows of ``knnta_browse``: the bounded search
+    must make exactly the unbounded loop's accesses.  Both start from
+    cold TIA buffers, so buffer hits compare too."""
+    cold_tia_buffers(tree)
+    before = tree.stats.snapshot()
+    rows = list(knnta_search(tree, query))
+    cost = tree.stats.diff(before).snapshot()
+    cold_tia_buffers(tree)
+    before = tree.stats.snapshot()
+    browsed = list(islice(knnta_browse(tree, query), query.k))
+    assert browsed == rows
+    assert tree.stats.diff(before).snapshot() == cost
+    return rows, cost
+
+
 def answers_both_paths(tree, query):
-    packed = list(knnta_search(tree, query))
+    packed, packed_cost = search_with_cost(tree, query)
     tree.frames.enabled = False
     try:
-        plain = list(knnta_search(tree, query))
+        plain, plain_cost = search_with_cost(tree, query)
     finally:
         tree.frames.enabled = True
+    # Same node accesses; only the object path reads TIA pages.
+    assert packed_cost[:2] == plain_cost[:2]
     return packed, plain
 
 
@@ -144,9 +247,9 @@ class TestInvalidationPerMutationKind:
         entry.tia.replace_all({0: 999})
         node.stamp += 1
         frame = tree.frames.frame(node)
-        fresh = build_frame(node)
-        assert frame.values.tobytes() == fresh.values.tobytes()
-        assert 999 in list(frame.values)
+        fresh = build_frame(node, tree.aggregate_kind)
+        assert frame.rows.tobytes() == fresh.rows.tobytes()
+        assert 999 in list(frame.rows)
 
 
 class TestStampsAndObservers:
@@ -179,6 +282,16 @@ class TestStampsAndObservers:
         assert tree.frames.cached(leaf) is not None  # stale entry survived
         assert_frames_byte_equal(tree)  # ...but is never served
 
+    def test_stamp_catches_stale_memory_guard_refusal(self):
+        # A refusal is cached per stamp like a frame: once a mutation
+        # makes the rows fit, the node is packed again, observer or not.
+        tree = leaf_tree(25)
+        assert tree.frames.frame(tree.root) is None
+        tree._mutation_observers.remove(tree.frames.note_mutation)
+        tree.digest_epoch(10, {1: 2})  # 4 records: 50 cells now fit
+        assert tree.frames.frame(tree.root) is not None
+        assert_frames_byte_equal(tree)
+
     def test_wrap_tias_disables_permanently(self):
         tree = build_tree(seed=13)
         warm_frames(tree)
@@ -202,11 +315,17 @@ class TestBitIdenticalAnswers:
         "aggregate_kind", [AggregateKind.SUM, AggregateKind.MAX]
     )
     def test_search_matches_object_path(self, aggregate_kind):
-        tree = build_tree(seed=16, aggregate_kind=aggregate_kind)
-        rng = random.Random(17)
-        for _ in range(25):
-            packed, plain = answers_both_paths(tree, make_query(rng, tree))
-            assert packed == plain  # full-tuple equality: ids, scores, order
+        # Hourly epochs break the memory guard: those nodes score on
+        # the object path inside an otherwise packed search.
+        for build in (build_tree, build_hourly_tree):
+            tree = build(seed=16, aggregate_kind=aggregate_kind)
+            assert (declined_nodes(tree) > 0) == (build is build_hourly_tree)
+            rng = random.Random(17)
+            for window in [None] + EDGE_WINDOWS:
+                for _ in range(25):
+                    query = make_query(rng, tree, window=window)
+                    packed, plain = answers_both_paths(tree, query)
+                    assert packed == plain  # ids, scores, order
 
     def test_browse_matches_object_path(self):
         tree = build_tree(seed=18)
@@ -223,17 +342,20 @@ class TestBitIdenticalAnswers:
         assert got == expected
 
     def test_collective_matches_object_path(self):
-        tree = build_tree(seed=20)
-        rng = random.Random(21)
-        queries = [make_query(rng, tree) for _ in range(12)]
-        packed = CollectiveProcessor(tree).run(queries)
-        tree.frames.enabled = False
-        try:
-            plain = CollectiveProcessor(tree).run(queries)
-        finally:
-            tree.frames.enabled = True
-        for got, expected in zip(packed, plain):
-            assert list(got) == list(expected)
+        for aggregate_kind in (AggregateKind.SUM, AggregateKind.MAX):
+            tree = build_tree(seed=20, aggregate_kind=aggregate_kind)
+            rng = random.Random(21)
+            queries = [make_query(rng, tree) for _ in range(12)] + [
+                make_query(rng, tree, window=window) for window in EDGE_WINDOWS
+            ]
+            packed = CollectiveProcessor(tree).run(queries)
+            tree.frames.enabled = False
+            try:
+                plain = CollectiveProcessor(tree).run(queries)
+            finally:
+                tree.frames.enabled = True
+            for got, expected in zip(packed, plain):
+                assert list(got) == list(expected)
 
     def test_mutation_stream_stays_bit_identical(self):
         """40 mixed mutations, packed vs object answers after each."""
@@ -311,6 +433,15 @@ class TestFrameStoreBasics:
         query = KNNTAQuery((0.4, 0.6), TimeInterval(end - 28, end), k=5)
         packed, plain = answers_both_paths(tree, query)
         assert packed == plain
+
+    def test_memory_guard_boundary(self):
+        for width, declined in ((24, 0), (25, 1)):
+            tree = leaf_tree(width)
+            assert declined_nodes(tree) == declined
+            rng = random.Random(width)
+            for _ in range(5):
+                packed, plain = answers_both_paths(tree, make_query(rng, tree))
+                assert packed == plain
 
     def test_store_is_per_tree(self):
         a = build_tree(n=10, seed=25)
