@@ -22,7 +22,10 @@ coordinators at 4 and 8 shards, asserting:
   one);
 * bound pruning — with sequential dispatch the coordinator's
   shards-contacted counters show whole shards skipped per selective
-  query without a byte read from their workers.
+  query without a byte read from their workers;
+* the pushed-down k-th score — shards searched after the first stop
+  at the answer's frontier, so the rows shipped per visited shard
+  stay below ``k``.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the fixture.  The series is emitted as
 ``BENCH_workers.json`` for CI trend tracking.
@@ -144,9 +147,15 @@ def test_worker_processes_beat_inprocess_under_concurrent_load(tmp_path):
             counters = remote.counters()
             visited = counters["shards.visited"] - before["shards.visited"]
             pruned = counters["shards.pruned"] - before["shards.pruned"]
+            shipped = counters["shards.rows"] - before["shards.rows"]
             assert visited + pruned == num_shards * len(selective_queries)
             assert pruned > 0, (
                 "the bound pruned nothing at %d shards" % num_shards
+            )
+            assert shipped < SELECTIVE["k"] * visited, (
+                "visited shards shipped %.2f rows each at %d shards (k=%d): "
+                "the k-th score was not pushed down"
+                % (shipped / float(visited), num_shards, SELECTIVE["k"])
             )
         finally:
             remote.close()
@@ -164,6 +173,7 @@ def test_worker_processes_beat_inprocess_under_concurrent_load(tmp_path):
                 "speedup": speedup,
                 "selective_visited_per_query": visited / n,
                 "selective_pruned_per_query": pruned / n,
+                "selective_rows_per_visited_shard": shipped / float(visited),
             }
         )
         speedup_series["speedup"].append(speedup)

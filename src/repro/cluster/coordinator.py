@@ -18,9 +18,12 @@ answer, score for score):
 3. Each shard's *best-possible score* is a true lower bound on any of
    its POIs' scores (Property 1 again: MINDIST under-estimates every
    distance, the shard's root aggregate bound over-estimates every
-   aggregate), so once the running k-th result's score is at or below
-   a shard's bound, that shard cannot contribute and is skipped —
-   the threshold-style early termination of the scatter-gather.
+   aggregate), so once the running k-th result's score is strictly
+   below a shard's bound, that shard cannot contribute and is skipped —
+   the threshold-style early termination of the scatter-gather.  A
+   shard that is visited gets that running k-th score too, as the
+   seeded bound of its own best-first search, so it stops at the
+   answer's frontier and returns only rows that can still place.
 
 Mutations route to the owning shard by the plan: when the shard carries
 a :class:`~repro.reliability.recovery.CheckpointedIngest`, the mutation
@@ -52,6 +55,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence, cast
 
 from repro.cluster.planner import ShardPlan, plan_shards
@@ -79,7 +83,7 @@ from repro.service.locks import ReadWriteLock
 from repro.spatial.geometry import Rect
 from repro.storage.stats import AccessStats
 from repro.temporal.epochs import EpochClock, TimeInterval
-from repro.temporal.tia import AggregateKind, IntervalSemantics
+from repro.temporal.tia import IntervalSemantics
 
 if TYPE_CHECKING:
     from repro.core.grouping import GroupingStrategy
@@ -93,6 +97,31 @@ __all__ = ["ClusterStateError", "Shard", "ClusterTree"]
 
 class ClusterStateError(RuntimeError):
     """A durable-state operation on a cluster that has none attached."""
+
+
+def merge_shard_rows(
+    rows: list[tuple[float, int, int, QueryResult]],
+    index: int,
+    results: Sequence[QueryResult],
+    k: int,
+) -> None:
+    """Merge one shard's ranked ``results`` into ``rows``, keeping the
+    best ``k``.
+
+    ``rows`` holds ``(score, shard index, within-shard rank, result)``
+    ascending; a shard's results arrive ascending too, so the sort only
+    merges two runs, and no two keys tie before the result (distinct
+    shard or rank).  Nothing reads past ``rows[:k]`` — not the k-th
+    score, not the degradation certificate's ``len(rows) < k``, not the
+    ``query``/``explain`` consumers — so the rest is dropped.  The batch
+    merges build and sort their own lists.
+    """
+    rows.extend(
+        (result.score, index, position, result)
+        for position, result in enumerate(results)
+    )
+    rows.sort()
+    del rows[k:]
 
 
 class Shard:
@@ -185,8 +214,9 @@ class ClusterTree:
 
     Running totals: ``queries``, ``shards_visited``, ``shards_pruned``
     (shards never dispatched because the k-th result already beat their
-    bound) and ``routing_overflows`` (inserts outside every planned
-    region, placed on the nearest shard).
+    bound), ``shard_rows`` (rows received from shard searches) and
+    ``routing_overflows`` (inserts outside every planned region, placed
+    on the nearest shard).
     """
 
     #: Duck-typing marker the service layer keys on; a ClusterTree is
@@ -233,6 +263,7 @@ class ClusterTree:
         self.queries = 0
         self.shards_visited = 0
         self.shards_pruned = 0
+        self.shard_rows = 0
         self.routing_overflows = 0
         self.shards_failed = 0
         self.certified_exact = 0
@@ -426,6 +457,7 @@ class ClusterTree:
                 "queries": self.queries,
                 "shards.visited": self.shards_visited,
                 "shards.pruned": self.shards_pruned,
+                "shards.rows": self.shard_rows,
                 "routing_overflows": self.routing_overflows,
                 "shards.failed": self.shards_failed,
                 "certified_exact": self.certified_exact,
@@ -505,13 +537,17 @@ class ClusterTree:
         descriptor changes (:class:`MergedEpochMax`); the returned dict
         is shared and must not be mutated.
         """
+        return self._epoch_max.merged(self._fresh_descriptors())
+
+    def _fresh_descriptors(self) -> list[ShardDescriptor]:
+        """Every shard's descriptor, refreshing stale ones first."""
         descriptors: list[ShardDescriptor] = []
         for shard in self.shards:
             descriptor = self._descriptors[shard.index]
             if not descriptor.fresh:
                 self._refresh_descriptor(shard)
             descriptors.append(descriptor)
-        return self._epoch_max.merged(descriptors)
+        return descriptors
 
     def _refresh_descriptor(self, shard: Shard) -> None:
         """Guarded descriptor rebuild; a down shard keeps stale values."""
@@ -535,12 +571,11 @@ class ClusterTree:
         semantics: IntervalSemantics = IntervalSemantics.INTERSECTS,
     ) -> int:
         """Upper bound on any POI's aggregate over ``interval``, cluster-wide."""
-        maxima = self.global_epoch_max()
-        epoch_range = self.clock.epoch_range(interval, semantics)
-        values = (maxima.get(epoch, 0) for epoch in epoch_range)
-        if self.aggregate_kind is AggregateKind.MAX:
-            return max(values, default=0)
-        return sum(values)
+        return self._epoch_max.max_aggregate_bound(
+            self._fresh_descriptors(),
+            self.clock.epoch_range(interval, semantics),
+            self.aggregate_kind,
+        )
 
     def normalizer(
         self,
@@ -816,8 +851,15 @@ class ClusterTree:
         )
 
     def _query_shard(
-        self, index: int, query: KNNTAQuery, normalizer: Normalizer
+        self,
+        index: int,
+        query: KNNTAQuery,
+        normalizer: Normalizer,
+        threshold: float,
     ) -> tuple[list[QueryResult], AccessStats]:
+        """Guarded search of one shard, cut at ``threshold`` (the
+        running k-th score at dispatch; rows scoring above it cannot
+        place)."""
         shard = self.shards[index]
 
         def dispatch(
@@ -832,7 +874,9 @@ class ClusterTree:
                 # the per-call stats (approximate only under concurrent
                 # readers, exactly as for service batches on one tree).
                 tia_before = shard.tree.stats.snapshot()
-                results = knnta_search(view, query, normalizer=normalizer)
+                results = knnta_search(
+                    view, query, normalizer=normalizer, threshold=threshold
+                )
                 shard_stats.merge(shard.tree.stats.diff(tia_before))
             return results, shard_stats
 
@@ -854,13 +898,14 @@ class ClusterTree:
         """Run the bound-pruned scatter-gather; returns merged rows.
 
         Rows are ``(score, shard index, within-shard rank, result)``
-        sorted ascending — ties (probability zero on continuous data)
-        break toward the lower shard index, matching the deterministic
-        batch merge.  The two final mappings are ``{shard index:
-        bound}`` for every shard that failed out of the dispatch
-        (*missed*) and for the subset whose bound could still beat the
-        k-th score (*blocking*); a missed shard absent from *blocking*
-        was certified irrelevant and the answer stays provably exact.
+        sorted ascending and cut to ``query.k`` — ties (probability zero
+        on continuous data) break toward the lower shard index, matching
+        the deterministic batch merge.  The two final mappings are
+        ``{shard index: bound}`` for every shard that failed out of the
+        dispatch (*missed*) and for the subset whose bound could still
+        beat the k-th score (*blocking*); a missed shard absent from
+        *blocking* was certified irrelevant and the answer stays
+        provably exact.
         """
         query.validate()
         if normalizer is None:
@@ -877,27 +922,28 @@ class ClusterTree:
         visited: list[int] = []
         missed: dict[int, float] = {}
         pruned = 0
+        received = 0
 
         def kth_score() -> float:
-            return rows[query.k - 1][0] if len(rows) >= query.k else float("inf")
+            return rows[query.k - 1][0] if len(rows) >= query.k else inf
 
         def absorb(index: int, answer: tuple[list[QueryResult], AccessStats]) -> None:
+            nonlocal received
             results, shard_stats = answer
             visited.append(index)
             per_shard[index] = shard_stats
-            rows.extend(
-                (result.score, index, position, result)
-                for position, result in enumerate(results)
-            )
-            rows.sort(key=lambda row: (row[0], row[1], row[2]))
+            received += len(results)
+            merge_shard_rows(rows, index, results, query.k)
 
         if self.parallelism == 1:
             for position, (bound, index) in enumerate(bounds):
-                if bound >= kth_score():
+                if bound > kth_score():
                     pruned = len(bounds) - position
                     break
                 try:
-                    answer = self._query_shard(index, query, normalizer)
+                    answer = self._query_shard(
+                        index, query, normalizer, kth_score()
+                    )
                 except Exception as exc:
                     if classify_error(exc) == CALLER:
                         raise
@@ -911,13 +957,21 @@ class ClusterTree:
                 while queue or pending:
                     while queue and len(pending) < self.parallelism:
                         bound, index = queue[0]
-                        if bound >= kth_score():
+                        if bound > kth_score():
                             pruned += len(queue)
                             queue.clear()
                             break
                         queue.popleft()
+                        # The k-th score as it stands now: it only falls
+                        # later, so a stale threshold is merely looser.
                         pending[
-                            pool.submit(self._query_shard, index, query, normalizer)
+                            pool.submit(
+                                self._query_shard,
+                                index,
+                                query,
+                                normalizer,
+                                kth_score(),
+                            )
                         ] = index
                     if not pending:
                         break
@@ -949,6 +1003,7 @@ class ClusterTree:
             self.queries += 1
             self.shards_visited += len(visited)
             self.shards_pruned += pruned
+            self.shard_rows += received
             self.shards_failed += len(missed)
             if missed and not blocking:
                 self.certified_exact += 1

@@ -11,7 +11,10 @@ tree's: the cluster-level normaliser is computed here from the merged
 descriptor maxima (exactly the single tree's view) and pushed down the
 wire as ``[d_max, g_max]`` — JSON floats round-trip exactly — and the
 merge key ``(score, shard index, within-shard rank)`` is the same
-deterministic tie-break the in-process coordinator uses.
+deterministic tie-break the in-process coordinator uses.  The running
+k-th score rides each ``query`` frame as ``threshold`` once k rows are
+held, so a worker returns only rows that can still place; a worker
+that ignores the field returns a superset, which the merge absorbs.
 
 Fault semantics are PR 6's, reinterpreted over a connection: a socket
 timeout is a :class:`~repro.cluster.resilience.ShardCallTimeout`, a
@@ -40,9 +43,10 @@ import os
 import socket
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from math import inf
 from typing import Any, Callable, Mapping, Sequence, cast
 
-from repro.cluster.coordinator import ClusterStateError
+from repro.cluster.coordinator import ClusterStateError, merge_shard_rows
 from repro.cluster.planner import ShardPlan
 from repro.cluster.resilience import (
     CALLER,
@@ -388,6 +392,7 @@ class RemoteClusterTree:
         self.queries = 0
         self.shards_visited = 0
         self.shards_pruned = 0
+        self.shard_rows = 0
         self.routing_overflows = 0
         self.shards_failed = 0
         self.certified_exact = 0
@@ -597,6 +602,7 @@ class RemoteClusterTree:
                 "queries": self.queries,
                 "shards.visited": self.shards_visited,
                 "shards.pruned": self.shards_pruned,
+                "shards.rows": self.shard_rows,
                 "routing_overflows": self.routing_overflows,
                 "shards.failed": self.shards_failed,
                 "certified_exact": self.certified_exact,
@@ -715,14 +721,17 @@ class RemoteClusterTree:
     # Cluster-level normalisation (identical to the single tree's)
     # ------------------------------------------------------------------
 
-    def _global_epoch_max_locked(self) -> dict[int, int]:
+    def _fresh_descriptors_locked(self) -> list[ShardDescriptor]:
         descriptors: list[ShardDescriptor] = []
         for shard in self.shards:
             descriptor = self._descriptors[shard.index]
             if not descriptor.fresh:
                 self._refresh_descriptor_locked(shard)
             descriptors.append(descriptor)
-        return self._epoch_max.merged(descriptors)
+        return descriptors
+
+    def _global_epoch_max_locked(self) -> dict[int, int]:
+        return self._epoch_max.merged(self._fresh_descriptors_locked())
 
     def global_epoch_max(self) -> dict[int, int]:
         """Per-epoch maxima over all workers — the single tree's view.
@@ -737,12 +746,11 @@ class RemoteClusterTree:
     def _max_aggregate_bound_locked(
         self, interval: TimeInterval, semantics: IntervalSemantics
     ) -> int:
-        maxima = self._global_epoch_max_locked()
-        epoch_range = self.clock.epoch_range(interval, semantics)
-        values = (maxima.get(epoch, 0) for epoch in epoch_range)
-        if self.aggregate_kind is AggregateKind.MAX:
-            return max(values, default=0)
-        return sum(values)
+        return self._epoch_max.max_aggregate_bound(
+            self._fresh_descriptors_locked(),
+            self.clock.epoch_range(interval, semantics),
+            self.aggregate_kind,
+        )
 
     def max_aggregate_bound(
         self,
@@ -793,10 +801,19 @@ class RemoteClusterTree:
         }
 
     def _query_worker(
-        self, shard: RemoteShard, query: KNNTAQuery, normalizer: Normalizer
+        self,
+        shard: RemoteShard,
+        query: KNNTAQuery,
+        normalizer: Normalizer,
+        threshold: float,
     ) -> list[QueryResult]:
-        payload = dict(self._query_fields(query, normalizer))
+        """Guarded search on one worker, cut at ``threshold`` (the
+        running k-th score at dispatch), which rides the frame only
+        while finite."""
+        payload = self._query_fields(query, normalizer)
         payload["op"] = "query"
+        if threshold != inf:
+            payload["threshold"] = threshold
 
         def dispatch(token: CallToken) -> list[QueryResult]:
             response = shard.client.request(payload, timeout=self._timeout())
@@ -820,8 +837,9 @@ class RemoteClusterTree:
 
         Same contract as the in-process ``_scatter``: rows are
         ``(score, shard index, within-shard rank, result)`` sorted
-        ascending, *missed* maps every failed shard to its bound and
-        *blocking* the subset the degradation certificate cannot cover.
+        ascending and cut to ``query.k``, *missed* maps every failed
+        shard to its bound and *blocking* the subset the degradation
+        certificate cannot cover.
         """
         query.validate()
         if normalizer is None:
@@ -842,25 +860,26 @@ class RemoteClusterTree:
         visited: list[int] = []
         missed: dict[int, float] = {}
         pruned = 0
+        received = 0
 
         def kth_score() -> float:
-            return rows[query.k - 1][0] if len(rows) >= query.k else float("inf")
+            return rows[query.k - 1][0] if len(rows) >= query.k else inf
 
         def absorb(index: int, results: list[QueryResult]) -> None:
+            nonlocal received
             visited.append(index)
-            rows.extend(
-                (result.score, index, position, result)
-                for position, result in enumerate(results)
-            )
-            rows.sort(key=lambda row: (row[0], row[1], row[2]))
+            received += len(results)
+            merge_shard_rows(rows, index, results, query.k)
 
         if self.parallelism == 1:
             for position, (bound, index) in enumerate(bounds):
-                if bound >= kth_score():
+                if bound > kth_score():
                     pruned = len(bounds) - position
                     break
                 try:
-                    results = self._query_worker(shard_of[index], query, push)
+                    results = self._query_worker(
+                        shard_of[index], query, push, kth_score()
+                    )
                 except Exception as exc:
                     if classify_error(exc) == CALLER:
                         raise
@@ -874,14 +893,20 @@ class RemoteClusterTree:
                 while queue or pending:
                     while queue and len(pending) < self.parallelism:
                         bound, index = queue[0]
-                        if bound >= kth_score():
+                        if bound > kth_score():
                             pruned += len(queue)
                             queue.clear()
                             break
                         queue.popleft()
+                        # The k-th score as it stands now: it only falls
+                        # later, so a stale threshold is merely looser.
                         pending[
                             pool.submit(
-                                self._query_worker, shard_of[index], query, push
+                                self._query_worker,
+                                shard_of[index],
+                                query,
+                                push,
+                                kth_score(),
                             )
                         ] = index
                     if not pending:
@@ -907,6 +932,7 @@ class RemoteClusterTree:
             self.queries += 1
             self.shards_visited += len(visited)
             self.shards_pruned += pruned
+            self.shard_rows += received
             self.shards_failed += len(missed)
             if missed and not blocking:
                 self.certified_exact += 1

@@ -53,6 +53,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Iterator,
+    Mapping,
     NamedTuple,
     Sequence,
     TypeVar,
@@ -84,6 +85,7 @@ __all__ = [
     "CircuitBreaker",
     "ClusterDegradedError",
     "DegradedAnswer",
+    "EpochMaxRow",
     "MergedEpochMax",
     "ResilienceConfig",
     "ShardCallTimeout",
@@ -504,6 +506,48 @@ class CircuitBreaker:
 _descriptor_versions = itertools.count()
 
 
+class EpochMaxRow:
+    """A dense row over the epoch span of a per-epoch maxima dict.
+
+    Folds the maxima over any epoch window in O(1) (MAX: one slice):
+    ``values`` holds running sums behind a leading zero for SUM/COUNT
+    and the raw per-epoch values for MAX, over epochs ``first`` to
+    ``first + width - 1`` — the layout of a :class:`~repro.core.frames
+    .NodeFrame` row.  :meth:`fold` returns the same Python int as
+    summing (or taking the max of) ``maxima.get(epoch, 0)`` over the
+    window: the maxima are counts, never negative, so the window's
+    epochs outside the span (zeros) never raise a MAX.
+    """
+
+    __slots__ = ("first", "width", "values", "running")
+
+    def __init__(self, maxima: Mapping[int, int], kind: AggregateKind) -> None:
+        self.running = kind is not AggregateKind.MAX
+        if not maxima:
+            self.first = 0
+            self.width = 0
+            self.values: list[int] = []
+            return
+        self.first = first = min(maxima)
+        self.width = width = max(maxima) - first + 1
+        raw = [0] * width
+        for epoch, value in maxima.items():
+            raw[epoch - first] = value
+        if self.running:
+            raw = list(itertools.accumulate(raw, initial=0))
+        self.values = raw
+
+    def fold(self, span: range) -> int:
+        """The maxima folded over the epoch indices in ``span``."""
+        a = max(span.start - self.first, 0)
+        b = min(span.stop - self.first, self.width)
+        if b <= a:
+            return 0
+        if self.running:
+            return self.values[b] - self.values[a]
+        return max(self.values[a:b])
+
+
 class ShardDescriptor:
     """Cached pruning-bound state for one shard: root MBR + epoch maxima.
 
@@ -518,10 +562,12 @@ class ShardDescriptor:
 
     ``version`` changes on every :meth:`update` and is unique across
     descriptors, so a tuple of versions identifies the content of a
-    whole descriptor list (see :class:`MergedEpochMax`).
+    whole descriptor list (see :class:`MergedEpochMax`).  The
+    :class:`EpochMaxRow` that :meth:`max_aggregate_bound` folds is
+    built on first use and kept until the version changes.
     """
 
-    __slots__ = ("mbr", "epoch_max", "pois", "fresh", "version")
+    __slots__ = ("mbr", "epoch_max", "pois", "fresh", "version", "_row")
 
     def __init__(self) -> None:
         self.mbr: Rect | None = None
@@ -529,6 +575,7 @@ class ShardDescriptor:
         self.pois = 0
         self.fresh = False
         self.version = next(_descriptor_versions)
+        self._row: tuple[int, AggregateKind, EpochMaxRow] | None = None
 
     def refresh(self, tree: TARTree) -> None:
         """Recompute from ``tree``; the caller holds the shard lock."""
@@ -556,13 +603,14 @@ class ShardDescriptor:
         aggregate_kind: AggregateKind,
     ) -> int:
         """Upper bound on any shard POI's aggregate over ``interval``."""
-        values = (
-            self.epoch_max.get(epoch, 0)
-            for epoch in clock.epoch_range(interval, semantics)
-        )
-        if aggregate_kind is AggregateKind.MAX:
-            return max(values, default=0)
-        return sum(values)
+        # Version first, as MergedEpochMax reads it: a concurrent update
+        # can only make the row newer than its key, never older.
+        version = self.version
+        cached = self._row
+        if cached is None or cached[0] != version or cached[1] is not aggregate_kind:
+            row = EpochMaxRow(self.epoch_max, aggregate_kind)
+            cached = self._row = (version, aggregate_kind, row)
+        return cached[2].fold(clock.epoch_range(interval, semantics))
 
     def bound(
         self,
@@ -599,16 +647,18 @@ class MergedEpochMax:
     The cluster normaliser and max-aggregate bound need them on every
     query; the fold is cached under the descriptors' versions and
     recomputed only after a descriptor was refreshed or absorbed new
-    worker state (or the descriptor list changed).  The versions are
-    read before the values they label, so a concurrent refresh can only
-    make the cached fold newer than its key, never older.  The returned
-    dict is shared: callers must not mutate it.
+    worker state (or the descriptor list changed), together with the
+    :class:`EpochMaxRow` that :meth:`max_aggregate_bound` reads.  The
+    versions are read before the values they label, so a concurrent
+    refresh can only make the cached fold newer than its key, never
+    older.  The returned dict is shared: callers must not mutate it.
     """
 
-    __slots__ = ("_cached",)
+    __slots__ = ("_cached", "_row")
 
     def __init__(self) -> None:
         self._cached: tuple[tuple[int, ...], dict[int, int]] = ((), {})
+        self._row: tuple[tuple[int, ...], AggregateKind, EpochMaxRow] | None = None
 
     def merged(self, descriptors: Sequence[ShardDescriptor]) -> dict[int, int]:
         key = tuple(descriptor.version for descriptor in descriptors)
@@ -622,6 +672,21 @@ class MergedEpochMax:
                     merged[epoch] = value
         self._cached = (key, merged)
         return merged
+
+    def max_aggregate_bound(
+        self,
+        descriptors: Sequence[ShardDescriptor],
+        span: range,
+        aggregate_kind: AggregateKind,
+    ) -> int:
+        """Upper bound on any POI's aggregate over the epochs of
+        ``span``, cluster-wide: the merged maxima folded over them."""
+        key = tuple(descriptor.version for descriptor in descriptors)
+        cached = self._row
+        if cached is None or cached[0] != key or cached[1] is not aggregate_kind:
+            row = EpochMaxRow(self.merged(descriptors), aggregate_kind)
+            cached = self._row = (key, aggregate_kind, row)
+        return cached[2].fold(span)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@ Worker ops (beyond the shared ``hello`` / ``shutdown`` frames):
     a shard normalising against its own local maxima would break
     cross-shard score comparability, so the exact constants ride the
     wire (JSON floats round-trip exactly; answers stay bit-identical).
+    A ``query`` may carry an optional ``threshold``, the coordinator's
+    running k-th score: the search then returns only rows scoring at
+    or below it (see :func:`~repro.core.knnta.knnta_search`).
 ``insert`` / ``delete`` / ``digest``
     Routed mutations through the shard WAL under the write lock; every
     response returns the refreshed descriptor (root MBR, per-epoch
@@ -48,6 +51,7 @@ import os
 import socketserver
 import threading
 import time
+from math import inf
 from multiprocessing.process import BaseProcess
 from typing import Any, BinaryIO, Callable, TypeVar
 
@@ -123,6 +127,12 @@ def _parse_normalizer(payload: dict[str, Any]) -> Normalizer:
     # constants must be used verbatim for bit-identical scores.
     d_max, g_max = payload["normalizer"]
     return Normalizer(float(d_max), float(g_max))
+
+
+def _parse_threshold(payload: dict[str, Any]) -> float:
+    # Absent while the coordinator holds fewer than k rows.
+    threshold = payload.get("threshold")
+    return inf if threshold is None else float(threshold)
 
 
 def _rect_pair(rect: Rect) -> list[list[float]]:
@@ -281,24 +291,28 @@ class ShardWorkerServer:
             }
 
     def _query_rows(
-        self, query: KNNTAQuery, normalizer: Normalizer
+        self, query: KNNTAQuery, normalizer: Normalizer, threshold: float = inf
     ) -> list[list[Any]]:
         """One search against the pushed-down normaliser (lock held)."""
-        answer = self.tree.query(query, normalizer=normalizer)
+        answer = self.tree._search(query, normalizer, threshold)
         return [
             [row.poi_id, row.score, row.distance, row.aggregate]
             for row in answer.rows
         ]
 
     def _op_query(self, payload: dict[str, Any]) -> dict[str, Any]:
-        query, normalizer = _parsed(
-            lambda: (_parse_query(payload), _parse_normalizer(payload))
+        query, normalizer, threshold = _parsed(
+            lambda: (
+                _parse_query(payload),
+                _parse_normalizer(payload),
+                _parse_threshold(payload),
+            )
         )
         with self.lock.read_locked():
             if not self.tree.root.entries:
                 return {"ok": True, "results": []}
             return {"ok": True,
-                    "results": self._query_rows(query, normalizer)}
+                    "results": self._query_rows(query, normalizer, threshold)}
 
     def _op_batch(self, payload: dict[str, Any]) -> dict[str, Any]:
         riders = _parsed(

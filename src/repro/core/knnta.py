@@ -34,6 +34,16 @@ by Property 1, its whole subtree — could only pop after the ``k``-th
 result, where the search stops.  Dropping it changes no row, score, tie
 order, node access or TIA page (its score is computed either way);
 :func:`knnta_browse` runs the same loop unbounded.
+
+A cluster coordinator seeds that bound with ``threshold``, the running
+k-th score of its scatter-gather: a shard search then also drops every
+entry scoring strictly above the threshold, and with it (Property 1)
+the entry's subtree.  The cut is inclusive, so a POI tied with the
+threshold is still returned.  The entries that survive are pushed in
+the same relative order as without the threshold, so the answer is
+exactly the ``score <= threshold`` prefix of the unthresholded answer,
+tie order included, and its node accesses are a subset of the
+unthresholded search's.  The default ``inf`` leaves the loop as above.
 """
 
 from __future__ import annotations
@@ -52,7 +62,10 @@ if TYPE_CHECKING:
 
 
 def knnta_search(
-    tree: TARTree, query: KNNTAQuery, normalizer: Normalizer | None = None
+    tree: TARTree,
+    query: KNNTAQuery,
+    normalizer: Normalizer | None = None,
+    threshold: float = inf,
 ) -> RankedAnswer:
     """Answer ``query`` on ``tree``; returns the ranked rows.
 
@@ -67,10 +80,19 @@ def knnta_search(
     functions are access-for-access identical up to ``k`` (see the
     module docs for why the bound is exact).  (For fault-tolerant
     execution see :func:`repro.reliability.recovery.robust_knnta`.)
+
+    ``threshold`` is internal to the cluster coordinators, which pass
+    the running k-th score of a scatter-gather: only POIs scoring at or
+    below it are returned.  The answer is exactly the ``score <=
+    threshold`` prefix of the unthresholded one — same rows, scores and
+    tie order — and never costs more node accesses (see the module
+    docs).
     """
     query.validate()
     return RankedAnswer(
-        itertools.islice(_best_first(tree, query, normalizer, query.k), query.k)
+        itertools.islice(
+            _best_first(tree, query, normalizer, query.k, threshold), query.k
+        )
     )
 
 
@@ -85,7 +107,7 @@ def knnta_browse(
     deciding ``k`` up front.  ``query.k`` is ignored; node accesses are
     charged lazily, only as far as the consumer iterates.
     """
-    return _best_first(tree, query, normalizer, None)
+    return _best_first(tree, query, normalizer, None, inf)
 
 
 def _best_first(
@@ -93,8 +115,10 @@ def _best_first(
     query: KNNTAQuery,
     normalizer: Normalizer | None,
     k: int | None,
+    threshold: float,
 ) -> Iterator[QueryResult]:
-    """The best-first loop; ``k`` bounds it (``None``: unbounded)."""
+    """The best-first loop; ``k`` bounds it (``None``: unbounded) and
+    ``threshold`` seeds its bound."""
     query.validate()
     if normalizer is None:
         normalizer = tree.normalizer(query.interval, query.semantics)
@@ -104,10 +128,11 @@ def _best_first(
     heap: list[tuple[float, int, Entry, float, float]] = []
     heappush = heapq.heappush
     tie = 0
-    # The k smallest POI scores pushed so far, negated (a max-heap), and
-    # the k-th of them: no entry scoring strictly above it is pushed.
+    # The k smallest POI scores pushed so far that beat the threshold,
+    # negated (a max-heap), and the k-th of them or else the threshold:
+    # no entry scoring strictly above it is pushed.
     best: list[float] = []
-    bound = inf
+    bound = threshold
 
     def tighten(score: float) -> None:
         nonlocal bound

@@ -648,6 +648,18 @@ class TARTree:
 
         return knnta_search(self, query, normalizer=normalizer)
 
+    def _search(
+        self, query: KNNTAQuery, normalizer: Normalizer, threshold: float
+    ) -> RankedAnswer:
+        """:meth:`query` cut at ``threshold`` (see the ``threshold`` of
+        :func:`~repro.core.knnta.knnta_search`): how a shard worker
+        searches its own tree for a cluster coordinator."""
+        from repro.core.knnta import knnta_search
+
+        return knnta_search(
+            self, query, normalizer=normalizer, threshold=threshold
+        )
+
     def robust_query(self, query: KNNTAQuery, **options: Any) -> RobustAnswer:
         """Fault-tolerant form of :meth:`query`.
 

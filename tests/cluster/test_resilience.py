@@ -4,6 +4,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ClusterDegradedError,
@@ -24,12 +26,17 @@ from repro.cluster.resilience import (
     TRANSIENT,
     CallToken,
     CircuitBreaker,
+    EpochMaxRow,
+    MergedEpochMax,
     ShardCallTimeout,
+    ShardDescriptor,
     ShardDownError,
     ShardGuard,
     classify_error,
 )
 from repro.core.knnta import knnta_search
+from repro.temporal.epochs import EpochClock
+from repro.temporal.tia import AggregateKind, IntervalSemantics
 from repro.reliability.faults import (
     FatalFaultError,
     FaultInjector,
@@ -354,6 +361,86 @@ class TestShardDescriptor:
         cluster._descriptors[owner.index].fresh = False
         assert cluster.global_epoch_max() == single.global_epoch_max()
         assert cluster._descriptors[owner.index].fresh
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        maxima=st.lists(
+            st.dictionaries(
+                st.integers(min_value=0, max_value=30),
+                st.integers(min_value=0, max_value=1000),
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        start=st.integers(min_value=-5, max_value=40),
+        length=st.integers(min_value=-3, max_value=45),
+        window=st.tuples(
+            st.floats(min_value=-5.0, max_value=40.0),
+            st.floats(min_value=0.0, max_value=45.0),
+        ),
+        semantics=st.sampled_from(list(IntervalSemantics)),
+        kind=st.sampled_from(list(AggregateKind)),
+    )
+    def test_dense_rows_fold_like_the_direct_sum(
+        self, maxima, start, length, window, semantics, kind
+    ):
+        # Windows before, inside and after the span, empty and reversed
+        # ones: the dense-row fold is the direct fold, as a Python int.
+        def direct(values, span):
+            folded = (values.get(epoch, 0) for epoch in span)
+            if kind is AggregateKind.MAX:
+                return max(folded, default=0)
+            return sum(folded)
+
+        span = range(start, start + length)
+        for values in maxima:
+            got = EpochMaxRow(values, kind).fold(span)
+            assert type(got) is int and got == direct(values, span)
+        descriptors = []
+        for values in maxima:
+            descriptor = ShardDescriptor()
+            descriptor.update(None, values, 1)
+            descriptors.append(descriptor)
+        merged = MergedEpochMax()
+        combined = merged.merged(descriptors)
+        got = merged.max_aggregate_bound(descriptors, span, kind)
+        assert type(got) is int and got == direct(combined, span)
+        clock = EpochClock(0.0, 1.0)
+        interval = TimeInterval(window[0], window[0] + window[1])
+        epochs = clock.epoch_range(interval, semantics)
+        for descriptor, values in zip(descriptors, maxima):
+            assert descriptor.max_aggregate_bound(
+                interval, semantics, clock, kind
+            ) == direct(values, epochs)
+        # A new version rebuilds both rows.
+        descriptors[0].update(None, {start % 31: 5000}, 1)
+        assert descriptors[0].max_aggregate_bound(
+            interval, semantics, clock, kind
+        ) == direct({start % 31: 5000}, epochs)
+        assert merged.max_aggregate_bound(descriptors, span, kind) == direct(
+            merged.merged(descriptors), span
+        )
+
+    def test_cluster_bounds_match_the_direct_fold(self, small_dataset):
+        for kind in (AggregateKind.SUM, AggregateKind.MAX):
+            cluster = ClusterTree.build(
+                small_dataset, num_shards=3, aggregate_kind=kind
+            )
+            single = TARTree.build(small_dataset, aggregate_kind=kind)
+            end = cluster.current_time
+            for days in (0.5, 7.0, 60.0, 400.0, 5000.0):
+                for semantics in IntervalSemantics:
+                    for interval in (
+                        TimeInterval(end - days, end),
+                        TimeInterval(end + 10.0, end + 10.0 + days),
+                    ):
+                        assert cluster.max_aggregate_bound(
+                            interval, semantics
+                        ) == single.max_aggregate_bound(interval, semantics)
+                        assert cluster.normalizer(
+                            interval, semantics
+                        ) == single.normalizer(interval, semantics)
 
 
 class TestDegradedAnswer:

@@ -1,5 +1,6 @@
 """Packed node frames: coherence, invalidation and bit-identical answers."""
 
+import math
 import random
 from itertools import islice
 
@@ -157,20 +158,49 @@ def cold_tia_buffers(tree):
             entry.tia.buffer.clear()
 
 
+def cold_search(tree, query, threshold=math.inf):
+    """``knnta_search`` rows and their ``AccessStats`` snapshot, from
+    cold TIA buffers (so buffer hits compare too)."""
+    cold_tia_buffers(tree)
+    before = tree.stats.snapshot()
+    rows = list(knnta_search(tree, query, threshold=threshold))
+    return rows, tree.stats.diff(before).snapshot()
+
+
+def thresholds(rows):
+    """Seeded bounds to try against an answer: unbounded, its k-th
+    score, a middle score (both inclusive ties), and just below every
+    score (an empty answer)."""
+    if not rows:
+        return [math.inf]
+    return [
+        math.inf,
+        rows[-1].score,
+        rows[len(rows) // 2].score,
+        math.nextafter(rows[0].score, -math.inf),
+    ]
+
+
 def search_with_cost(tree, query):
     """``knnta_search`` rows and their ``AccessStats`` snapshot, checked
     against the first ``k`` rows of ``knnta_browse``: the bounded search
-    must make exactly the unbounded loop's accesses.  Both start from
-    cold TIA buffers, so buffer hits compare too."""
-    cold_tia_buffers(tree)
-    before = tree.stats.snapshot()
-    rows = list(knnta_search(tree, query))
-    cost = tree.stats.diff(before).snapshot()
+    must make exactly the unbounded loop's accesses.  A search seeded
+    with a threshold must return exactly the ``score <= threshold``
+    prefix of the rows, with no more node accesses (the same accesses
+    at ``inf``)."""
+    rows, cost = cold_search(tree, query)
     cold_tia_buffers(tree)
     before = tree.stats.snapshot()
     browsed = list(islice(knnta_browse(tree, query), query.k))
     assert browsed == rows
     assert tree.stats.diff(before).snapshot() == cost
+    for threshold in thresholds(rows):
+        cut, cut_cost = cold_search(tree, query, threshold)
+        assert cut == [row for row in rows if row.score <= threshold]
+        if threshold == math.inf:
+            assert cut_cost == cost
+        else:
+            assert cut_cost[0] <= cost[0] and cut_cost[1] <= cost[1]
     return rows, cost
 
 
